@@ -9,13 +9,10 @@ selections) across benches.
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
+from _util import RESULTS_DIR
 
 from repro.experiments import get_repository
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
