@@ -17,7 +17,6 @@ signal instead of silent error.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +67,14 @@ class InputDriftDetector:
 
     _low: np.ndarray | None = field(default=None, init=False)
     _high: np.ndarray | None = field(default=None, init=False)
-    _window: deque = field(init=False)
+    # The trailing window is a ring of per-sample outside flags plus
+    # running counts, so each sample costs O(features), not O(window).
+    _outside: np.ndarray = field(init=False, repr=False)
+    _any_outside: np.ndarray = field(init=False, repr=False)
+    _counts: np.ndarray = field(init=False, repr=False)
+    _n_any: int = field(default=0, init=False)
+    _n: int = field(default=0, init=False)
+    _head: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not self.feature_names:
@@ -77,7 +83,10 @@ class InputDriftDetector:
             raise ValueError("envelope_quantile must be in (0.5, 1)")
         if self.window_seconds < 1 or self.min_samples < 1:
             raise ValueError("window and min_samples must be positive")
-        self._window = deque(maxlen=self.window_seconds)
+        n_features = len(self.feature_names)
+        self._outside = np.zeros((self.window_seconds, n_features), dtype=bool)
+        self._any_outside = np.zeros(self.window_seconds, dtype=bool)
+        self._counts = np.zeros(n_features, dtype=np.int64)
 
     # ------------------------------------------------------------------
     @property
@@ -155,9 +164,18 @@ class InputDriftDetector:
         return detector
 
     # ------------------------------------------------------------------
+    @property
+    def n_samples(self) -> int:
+        """How many samples the trailing window holds."""
+        return self._n
+
     @contracted
     def observe(self, sample: np.ndarray) -> DriftVerdict:
-        """Ingest one second of model inputs and reassess drift."""
+        """Ingest one second of model inputs and reassess drift.
+
+        A value outside ``[low, high]``, or not comparable at all (NaN),
+        counts as outside the envelope.
+        """
         if not self.is_fitted:
             raise RuntimeError("detector is not fitted")
         row = np.asarray(sample, dtype=float).ravel()
@@ -166,35 +184,52 @@ class InputDriftDetector:
                 f"sample has {row.shape[0]} values, expected "
                 f"{len(self.feature_names)}"
             )
-        outside = (row < self._low) | (row > self._high)
-        self._window.append(outside)
+        outside = ~((row >= self._low) & (row <= self._high))
+        any_outside = bool(outside.any())
+        head = self._head
+        if self._n == self.window_seconds:
+            self._counts -= self._outside[head]
+            self._n_any -= bool(self._any_outside[head])
+        else:
+            self._n += 1
+        self._outside[head] = outside
+        self._any_outside[head] = any_outside
+        self._counts += outside
+        self._n_any += any_outside
+        self._head = (head + 1) % self.window_seconds
         return self.verdict()
 
     def verdict(self) -> DriftVerdict:
-        """Current assessment over the trailing window."""
-        if not self._window:
+        """Current assessment over the trailing window.
+
+        The fractions are counts over the fill level: the same float64
+        values a mean over the window's 0/1 flags gives, since those sums
+        are exact and the one division is correctly rounded.  Counts
+        and fractions order alike, so argmax picks the same first index.
+        """
+        n = self._n
+        if n == 0:
             raise RuntimeError("no samples observed yet")
-        matrix = np.vstack(self._window)
-        sample_outside = matrix.any(axis=1)
-        fraction = float(sample_outside.mean())
-        per_feature = matrix.mean(axis=0)
-        worst_index = int(np.argmax(per_feature))
-        drifting = (
-            len(self._window) >= self.min_samples
-            and fraction > self.trigger_ratio * self.expected_fraction
-        )
+        fraction = self._n_any / n
+        expected = self.expected_fraction
+        worst_index = int(np.argmax(self._counts))
+        worst_count = int(self._counts[worst_index])
         return DriftVerdict(
-            drifting=drifting,
-            out_of_envelope_fraction=fraction,
-            expected_fraction=self.expected_fraction,
-            worst_feature=(
-                self.feature_names[worst_index]
-                if per_feature[worst_index] > 0
-                else None
+            drifting=(
+                n >= self.min_samples
+                and fraction > self.trigger_ratio * expected
             ),
-            worst_feature_fraction=float(per_feature[worst_index]),
+            out_of_envelope_fraction=fraction,
+            expected_fraction=expected,
+            worst_feature=(
+                self.feature_names[worst_index] if worst_count > 0 else None
+            ),
+            worst_feature_fraction=worst_count / n,
         )
 
     def reset(self) -> None:
         """Clear the observation window (envelope is kept)."""
-        self._window.clear()
+        # The rings keep stale flags: each slot is rewritten before the
+        # window is full again, and only a full window evicts.
+        self._counts[:] = 0
+        self._n_any = self._n = self._head = 0

@@ -16,6 +16,7 @@ into the rolling history).  ``observe`` remains the one-call form.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,6 +61,8 @@ class OnlinePowerPredictor:
     _n_patched: int = field(default=0, init=False)
     _n_patched_samples: int = field(default=0, init=False)
     _consecutive_patched: int = field(default=0, init=False)
+    _plan: tuple[tuple[str, bool], ...] = field(init=False, repr=False)
+    _required: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.history_seconds < 1:
@@ -70,22 +73,22 @@ class OnlinePowerPredictor:
         ):
             raise ValueError("max_consecutive_patches must be positive")
         self._history = deque(maxlen=self.history_seconds)
+        # Each feature column is (base counter, reads the lag state?);
+        # the plan is fixed by the model, so it is built once here.
+        self._plan = tuple(
+            (name[: -len(_LAG_SUFFIX)], True)
+            if name.endswith(_LAG_SUFFIX)
+            else (name, False)
+            for name in self.platform_model.feature_set.feature_names
+        )
+        self._required = tuple(dict.fromkeys(base for base, _ in self._plan))
 
     # ------------------------------------------------------------------
     @property
     def required_counters(self) -> list[str]:
         """Counters the caller must supply each second (lags excluded —
         the predictor keeps those itself)."""
-        names = []
-        for name in self.platform_model.feature_set.feature_names:
-            base = (
-                name[: -len(_LAG_SUFFIX)]
-                if name.endswith(_LAG_SUFFIX)
-                else name
-            )
-            if base not in names:
-                names.append(base)
-        return names
+        return list(self._required)
 
     @property
     def n_observed(self) -> int:
@@ -117,11 +120,11 @@ class OnlinePowerPredictor:
 
     def _resolve(self, counter_sample: dict[str, float], name: str) -> float:
         value = counter_sample.get(name)
-        if value is not None and np.isfinite(value):
+        if value is not None and math.isfinite(value):
             return float(value)
         if self.allow_missing and self._last_sample is not None:
             fallback = self._last_sample.get(name)
-            if fallback is not None and np.isfinite(fallback):
+            if fallback is not None and math.isfinite(fallback):
                 self._n_patched += 1
                 return float(fallback)
         raise KeyError(f"sample missing counters: [{name!r}]")
@@ -138,7 +141,7 @@ class OnlinePowerPredictor:
         patched_before = self._n_patched
         resolved = {
             name: self._resolve(counter_sample, name)
-            for name in self.required_counters
+            for name in self._required
         }
         sample_was_patched = self._n_patched > patched_before
         if sample_was_patched:
@@ -161,18 +164,13 @@ class OnlinePowerPredictor:
         if sample_was_patched:
             self._n_patched_samples += 1
 
-        row = []
-        for name in self.platform_model.feature_set.feature_names:
-            if name.endswith(_LAG_SUFFIX):
-                base = name[: -len(_LAG_SUFFIX)]
-                source = (
-                    self._last_sample
-                    if self._last_sample is not None
-                    else resolved
-                )
-                row.append(float(source[base]))
-            else:
-                row.append(resolved[name])
+        lagged = (
+            self._last_sample if self._last_sample is not None else resolved
+        )
+        row = [
+            lagged[base] if is_lag else resolved[base]
+            for base, is_lag in self._plan
+        ]
         self._last_sample = resolved
         return np.asarray(row, dtype=float)
 

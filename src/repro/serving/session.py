@@ -322,7 +322,9 @@ class MachineSession:
         """JSON-safe per-session telemetry."""
         drift_fraction = 0.0
         drifting = False
-        if self.n_scored > 0:
+        # The detector's own count, not n_scored: a hot swap installs a
+        # fresh detector whose window is empty until the next sample.
+        if self.drift.n_samples > 0:
             verdict = self.drift.verdict()
             drift_fraction = verdict.out_of_envelope_fraction
             drifting = verdict.drifting

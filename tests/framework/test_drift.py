@@ -79,6 +79,21 @@ class TestDetection:
         with pytest.raises(RuntimeError, match="no samples"):
             detector.verdict()
 
+    def test_non_finite_input_counts_as_outside(self, fitted):
+        """A stuck NaN counter is not in-distribution: it compares False
+        against both bounds, so it must count as outside the envelope."""
+        detector, _ = fitted
+        middle = (detector.envelope_low + detector.envelope_high) / 2
+        row = middle.copy()
+        row[0] = np.nan
+        verdict = detector.observe(row)
+        assert verdict.out_of_envelope_fraction == 1.0
+        assert verdict.worst_feature == "util"
+        row = middle.copy()
+        row[2] = np.inf
+        verdict = detector.observe(row)
+        assert verdict.worst_feature_fraction == 0.5
+
     def test_wrong_width_sample_rejected(self, fitted):
         detector, _ = fitted
         with pytest.raises(ValueError, match="values"):

@@ -98,6 +98,92 @@ class TestOnlinePowerPredictor:
             OnlinePowerPredictor(platform_model, history_seconds=0)
 
 
+class TestFeatureRowPlan:
+    """The per-model column plan ``prepare_row`` walks each sample."""
+
+    def test_required_counters_order_and_dedup_with_lag(self, trained):
+        platform_model, _ = trained
+        lagged = FREQUENCY_COUNTER + " (t-1)"
+        assert platform_model.feature_set.feature_names == [
+            CPU_UTILIZATION_COUNTER, FREQUENCY_COUNTER, lagged,
+        ]
+        predictor = OnlinePowerPredictor(platform_model)
+        assert predictor.required_counters == [
+            CPU_UTILIZATION_COUNTER, FREQUENCY_COUNTER,
+        ]
+        # Callers get a copy; the predictor's plan cannot be edited.
+        predictor.required_counters.append("junk")
+        assert predictor.required_counters == [
+            CPU_UTILIZATION_COUNTER, FREQUENCY_COUNTER,
+        ]
+
+    def test_lag_column_reads_previous_sample(self, trained):
+        platform_model, _ = trained
+        predictor = OnlinePowerPredictor(platform_model)
+        first = predictor.prepare_row(
+            {CPU_UTILIZATION_COUNTER: 10.0, FREQUENCY_COUNTER: 1600.0}
+        )
+        second = predictor.prepare_row(
+            {CPU_UTILIZATION_COUNTER: 20.0, FREQUENCY_COUNTER: 2260.0}
+        )
+        # Cold start: the lag column repeats the current frequency.
+        np.testing.assert_array_equal(first, [10.0, 1600.0, 1600.0])
+        np.testing.assert_array_equal(second, [20.0, 2260.0, 1600.0])
+
+
+_BAD_UTILIZATION = [
+    pytest.param({CPU_UTILIZATION_COUNTER: None}, id="none"),
+    pytest.param({}, id="missing-key"),
+    pytest.param({CPU_UTILIZATION_COUNTER: float("nan")}, id="float-nan"),
+    pytest.param({CPU_UTILIZATION_COUNTER: np.float64("inf")}, id="np-inf"),
+    pytest.param({CPU_UTILIZATION_COUNTER: np.nan}, id="np-nan"),
+    pytest.param({CPU_UTILIZATION_COUNTER: float("-inf")}, id="float-ninf"),
+]
+
+
+class TestResolveFiniteness:
+    """Which values are accepted, patched or rejected."""
+
+    @pytest.mark.parametrize("bad", _BAD_UTILIZATION)
+    def test_strict_mode_rejects(self, trained, bad):
+        platform_model, _ = trained
+        predictor = OnlinePowerPredictor(platform_model)
+        with pytest.raises(KeyError, match="missing"):
+            predictor.prepare_row({FREQUENCY_COUNTER: 2260.0, **bad})
+        assert predictor.n_patched == 0
+
+    @pytest.mark.parametrize("bad", _BAD_UTILIZATION)
+    def test_allow_missing_patches_from_last_sample(self, trained, bad):
+        platform_model, _ = trained
+        predictor = OnlinePowerPredictor(platform_model, allow_missing=True)
+        predictor.prepare_row(
+            {CPU_UTILIZATION_COUNTER: 42.0, FREQUENCY_COUNTER: 1600.0}
+        )
+        row = predictor.prepare_row({FREQUENCY_COUNTER: 2260.0, **bad})
+        np.testing.assert_array_equal(row, [42.0, 2260.0, 1600.0])
+        assert predictor.n_patched == 1
+        assert predictor.consecutive_patched == 1
+
+    @pytest.mark.parametrize("bad", _BAD_UTILIZATION)
+    def test_allow_missing_rejects_cold(self, trained, bad):
+        platform_model, _ = trained
+        predictor = OnlinePowerPredictor(platform_model, allow_missing=True)
+        with pytest.raises(KeyError, match="missing"):
+            predictor.prepare_row({FREQUENCY_COUNTER: 2260.0, **bad})
+
+    @pytest.mark.parametrize(
+        "value", [50, np.int64(50), np.float32(50.0), np.float64(50.0)]
+    )
+    def test_finite_numeric_types_accepted(self, trained, value):
+        platform_model, _ = trained
+        predictor = OnlinePowerPredictor(platform_model)
+        row = predictor.prepare_row(
+            {CPU_UTILIZATION_COUNTER: value, FREQUENCY_COUNTER: 2260.0}
+        )
+        np.testing.assert_array_equal(row, [50.0, 2260.0, 2260.0])
+        assert predictor.n_patched == 0
+
+
 class TestMissingCounterHandling:
     def _sample(self, util=50.0, freq=2260.0):
         return {

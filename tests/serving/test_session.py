@@ -227,6 +227,29 @@ def test_adopt_bundle_checks_platform_and_is_idempotent(scenario):
         session.adopt_bundle("x@v9", FakeBundle())
 
 
+def test_snapshot_right_after_hot_swap(scenario, holdout_log):
+    """A swap installs a fresh drift detector with an empty window; a
+    snapshot taken before the next sample must not ask it for a
+    verdict."""
+    session = _make_session(scenario)
+    rows = _counter_rows(scenario, holdout_log, n=11)
+    for t, counters in enumerate(rows[:10]):
+        session.submit(t, counters)
+    _drain(session)
+    session.adopt_bundle("L@v2", scenario.bundle("L"))
+    snapshot = session.snapshot()
+    assert snapshot["scored"] == 10
+    assert snapshot["model_version"] == "L@v2"
+    assert snapshot["drift_fraction"] == 0.0
+    assert snapshot["drifting"] is False
+    session.submit(10, rows[10])
+    _drain(session)
+    assert session.drift.n_samples == 1
+    assert session.snapshot()["drift_fraction"] == (
+        session.drift.verdict().out_of_envelope_fraction
+    )
+
+
 def test_online_dre_tracks_attached_meter(scenario, holdout_log):
     session = _make_session(scenario)
     rows = _counter_rows(scenario, holdout_log, n=60)

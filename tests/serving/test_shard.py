@@ -242,6 +242,29 @@ def test_stage_commit_swaps_sessions_exactly_once(
         worker.commit_swap(generation)
 
 
+def test_snapshot_between_commit_and_next_tick(
+    scenario, holdout_log, tmp_path
+):
+    """Telemetry may land between ``commit_swap`` and the next tick,
+    when every swapped session's drift window is still empty."""
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(scenario.bundle("Q"))
+    worker = ShardWorker(
+        worker_config(registry_root=str(tmp_path / "registry"))
+    )
+    worker.open_session(
+        {"machine_id": "m0", "platform": scenario.platform_key}
+    )
+    rows = _counter_rows(scenario, holdout_log, 10)
+    worker.tick_batch({"submits": _submits("m0", rows)})
+    v2, _ = registry.publish(scenario.bundle("L"))
+    assert worker.commit_swap(worker.stage_swap()) == 1
+    (session,) = worker.snapshot()["sessions"]
+    assert session["model_version"] == v2.label
+    assert session["scored"] == 10
+    assert session["drifting"] is False
+
+
 def test_commit_refuses_a_generation_it_did_not_stage(
     scenario, tmp_path
 ):
