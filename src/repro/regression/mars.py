@@ -147,6 +147,16 @@ def _forward_pass(
     n_knot_candidates: int,
     min_rss_decrease: float,
 ) -> list[BasisFunction]:
+    """Greedily grow the basis list; see the module docstring.
+
+    A basis's column never changes once it is in the list (the list only
+    grows), so the candidate block of each (parent, feature) pair — its
+    knots and hinge-pair columns — is built once and reused on every later
+    iteration; only the scoring against the current QR factor and residual
+    is redone.  The cache holds at most ``(max_terms - 2) * p`` blocks of
+    ``2 * n_knot_candidates * n`` float64s (degree 1 fits use the intercept
+    as their only parent, so ``p`` blocks).
+    """
     n_samples = design.shape[0]
     n_features = design.shape[1]
     bases: list[BasisFunction] = [INTERCEPT_BASIS]
@@ -160,6 +170,8 @@ def _forward_pass(
     feature_is_constant = [
         bool(np.all(column == column[0])) for column in feature_columns
     ]
+    # (parent_index, feature) -> (knots, plus, minus) candidate block.
+    blocks: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     while len(bases) + 2 <= max_terms:
         best = None  # (reduction, parent_index, feature, knot)
@@ -170,18 +182,22 @@ def _forward_pass(
             for feature in range(n_features):
                 if feature_is_constant[feature] or parent.involves(feature):
                     continue
-                column = feature_columns[feature]
-                knots = _knot_candidates(
-                    column, parent_values, n_knot_candidates
-                )
+                key = (parent_index, feature)
+                if key not in blocks:
+                    column = feature_columns[feature]
+                    knots = _knot_candidates(
+                        column, parent_values, n_knot_candidates
+                    )
+                    plus = parent_values[:, None] * np.maximum(
+                        column[:, None] - knots[None, :], 0.0
+                    )
+                    minus = parent_values[:, None] * np.maximum(
+                        knots[None, :] - column[:, None], 0.0
+                    )
+                    blocks[key] = (knots, plus, minus)
+                knots, plus, minus = blocks[key]
                 if knots.size == 0:
                     continue
-                plus = parent_values[:, None] * np.maximum(
-                    column[:, None] - knots[None, :], 0.0
-                )
-                minus = parent_values[:, None] * np.maximum(
-                    knots[None, :] - column[:, None], 0.0
-                )
                 reductions = _pair_rss_reductions(
                     q_matrix, residual, plus, minus
                 )
@@ -202,9 +218,10 @@ def _forward_pass(
         parent = bases[parent_index]
         new_plus = parent.extended(Hinge(feature=feature, knot=knot, sign=+1))
         new_minus = parent.extended(Hinge(feature=feature, knot=knot, sign=-1))
-        for new_basis in (new_plus, new_minus):
-            bases.append(new_basis)
-        basis_matrix = evaluate_bases(bases, design)
+        bases.extend((new_plus, new_minus))
+        basis_matrix = np.column_stack(
+            [basis_matrix, evaluate_bases(bases[-2:], design)]
+        )
         q_matrix, _ = np.linalg.qr(basis_matrix)
         residual = response - q_matrix @ (q_matrix.T @ response)
         new_rss = float(residual @ residual)
@@ -234,21 +251,27 @@ def _backward_pass(
     bases: list[BasisFunction],
     penalty: float,
 ) -> tuple[list[BasisFunction], np.ndarray, float, float]:
-    """Prune bases to minimize GCV; returns (bases, coefficients, gcv, rss)."""
-    n_samples = design.shape[0]
+    """Prune bases to minimize GCV; returns (bases, coefficients, gcv, rss).
 
-    def fit_subset(
-        subset: list[BasisFunction],
-    ) -> tuple[np.ndarray, float]:
-        matrix = evaluate_bases(subset, design)
+    The basis matrix is evaluated once; each trial subset is a column
+    selection of it.
+    """
+    n_samples = design.shape[0]
+    full = evaluate_bases(bases, design)
+
+    def fit_subset(columns: list[int]) -> tuple[np.ndarray, float]:
+        # A column selection is F-ordered, and an F-ordered ``matrix @
+        # coefficients`` takes another BLAS path whose rss differs in the
+        # last bits; the C-ordered copy matches a freshly evaluated matrix.
+        matrix = np.ascontiguousarray(full[:, columns])
         coefficients, _, _, _ = np.linalg.lstsq(matrix, response, rcond=None)
         residual = response - matrix @ coefficients
         rss = float(residual @ residual)
         return coefficients, rss
 
-    current = list(bases)
+    current = list(range(len(bases)))
     coefficients, rss = fit_subset(current)
-    best_bases = list(current)
+    best_columns = list(current)
     best_coefficients = coefficients
     best_rss = rss
     best_gcv = _gcv(rss, n_samples, len(current), penalty)
@@ -267,10 +290,11 @@ def _backward_pass(
         current = current[:index] + current[index + 1:]
         if gcv_value < best_gcv:
             best_gcv = gcv_value
-            best_bases = list(current)
+            best_columns = list(current)
             best_coefficients = coefficients
             best_rss = rss
 
+    best_bases = [bases[column] for column in best_columns]
     return best_bases, best_coefficients, best_gcv, best_rss
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.analysis.arraysan import contracted
 from repro.regression.kernels import matvec
@@ -182,7 +182,8 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> OLSFit:
             standard_errors > 0, coefficients / standard_errors, np.inf
         )
     if dof > 0:
-        p_values = 2.0 * stats.t.sf(np.abs(t_statistics), df=dof)
+        # stdtr(dof, -|t|) is the Student-t survival function at |t|.
+        p_values = 2.0 * special.stdtr(dof, -np.abs(t_statistics))
     else:
         p_values = np.ones_like(t_statistics)
     p_values = np.where(np.isinf(standard_errors), 1.0, p_values)

@@ -1,8 +1,14 @@
 """Tests for OLS with Wald statistics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import special, stats
 
+import repro
 from repro.regression import add_intercept, fit_ols
 
 
@@ -73,3 +79,47 @@ class TestFitOLS:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="rows"):
             fit_ols(rng.normal(size=(10, 2)), np.zeros(9))
+
+
+class TestPValueKernel:
+    def test_stdtr_matches_the_t_survival_function(self):
+        rng = np.random.default_rng(3)
+        t = np.abs(
+            np.concatenate(
+                [
+                    rng.standard_cauchy(5_000),
+                    [0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300],
+                ]
+            )
+        )
+        for dof in (1, 2, 3, 7, 30, 117, 1_000, 10**6):
+            expected = 2.0 * stats.t.sf(t, df=dof)
+            actual = 2.0 * special.stdtr(dof, -t)
+            assert np.array_equal(actual, expected, equal_nan=True), dof
+
+    def test_fit_p_values_are_the_t_survival_function(self, rng):
+        for n, p in ((12, 1), (40, 4), (500, 9)):
+            design = rng.normal(size=(n, p)) * rng.uniform(0.1, 1e6, p)
+            response = design @ rng.normal(size=p) + rng.normal(0, 5.0, n)
+            fit = fit_ols(design, response)
+            finite = np.isfinite(fit.standard_errors)
+            t = fit.coefficients[finite] / fit.standard_errors[finite]
+            expected = 2.0 * stats.t.sf(np.abs(t), df=n - fit.rank)
+            assert np.array_equal(fit.p_values[finite], expected)
+
+    def test_runtime_imports_leave_scipy_stats_out(self):
+        code = (
+            "import sys\n"
+            "import repro.dse, repro.serving, repro.selection\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path
+            for path in (
+                os.path.dirname(os.path.dirname(repro.__file__)),
+                env.get("PYTHONPATH"),
+            )
+            if path
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
