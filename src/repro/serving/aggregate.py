@@ -9,7 +9,10 @@ prediction down to the platform's idle-power floor: the most defensible
 stand-in for a machine that is presumably up but no longer observed.
 
 Freshness is measured in aggregator ticks, not wall-clock time, so the
-decay schedule is deterministic under replay at any speed multiple.
+decay schedule is deterministic for a given tick sequence.  A live
+replay is not one fixed sequence: the server's ticks interleave with
+the client streams by wall clock, so which tick scores a sample, or
+drains a ``bye``, can differ from run to run.
 """
 
 from __future__ import annotations

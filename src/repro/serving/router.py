@@ -1,13 +1,18 @@
-"""The sharded serving front end: one router, N shared-nothing shards.
+"""The chaos-serve front end: one router, N shared-nothing shards.
 
-:class:`ShardedPowerServer` speaks the exact same NDJSON/TCP protocol
-as :class:`PowerServer` but owns no sessions itself: a consistent-hash
-ring (SHA-256, virtual nodes) maps each machine ID to one
-:class:`~repro.serving.shard.ShardWorker`, which holds that machine's
-session, reorder buffer and scoring state exclusively.  Adding shards
-moves only the keys between ring neighbours; everything else stays put.
+:class:`ShardedPowerServer` is the only TCP server for the NDJSON
+protocol (``serving/protocol.py``).  It owns every connection but no
+session: a consistent-hash ring (SHA-256, virtual nodes) maps each
+machine ID to one :class:`~repro.serving.shard.ShardWorker`, which holds
+that machine's session, reorder buffer and scoring state exclusively.
+Adding shards moves only the keys between ring neighbours; everything
+else stays put.  One inline shard (the default) scores in the server's
+own process; ``shard_backend="process"`` gives each shard its own
+spawned process.
 
-Per tick the router:
+Per-connection reader coroutines only *ingest* — they validate messages
+and buffer samples for the owning shard.  All scoring happens on the
+tick loop.  Per tick the router:
 
 1. runs the **two-phase hot-swap barrier** when its registry generation
    poll moved — every shard stages the new generation (loads bundles,
@@ -21,13 +26,15 @@ Per tick the router:
 3. merges the per-shard Eq. 5 partials into one fleet
    :class:`ClusterEstimate` (:func:`merge_estimates` — exact, because
    Eq. 5 is a plain sum over machines);
-4. writes predictions back with the same buffered-write + bounded
-   drain deadline as the single-process server: a stalled consumer is
-   closed and counted, never allowed to head-of-line-block the fleet.
+4. writes predictions back buffered, then drains every recipient
+   concurrently under one deadline: a stalled consumer is closed and
+   counted, never allowed to head-of-line-block the fleet;
+5. replies ``drained`` (with the session's final telemetry) to every
+   client whose ``bye`` drain completed on its shard, and closes it.
 
-Overload shows up exactly where it does single-process: per-session
-shed/late counters, surfaced through the *merged* ``ServingStats``
-(:func:`merge_snapshots`), identical in shape to one server's snapshot.
+Overload shows up as per-session shed/late counters, surfaced through
+the *merged* ``ServingStats`` (:func:`merge_snapshots`), identical in
+shape to one shard's snapshot.
 """
 
 from __future__ import annotations
@@ -108,20 +115,17 @@ class _RouterClient:
     def __init__(
         self,
         machine_id: str,
-        platform_key: str,
         shard_index: int,
         writer: asyncio.StreamWriter,
     ):
         self.machine_id = machine_id
-        self.platform_key = platform_key
         self.shard_index = shard_index
         self.writer = writer
-        self.bye_pending = False
         self.closed = False
 
 
 class ShardedPowerServer:
-    """Protocol-compatible sharded replacement for ``PowerServer``."""
+    """Scores counter streams from a fleet of machines, over N shards."""
 
     def __init__(
         self,
@@ -129,7 +133,7 @@ class ShardedPowerServer:
         static_bundles: Optional[
             dict[str, tuple[str, ServingBundle]]
         ] = None,
-        n_shards: int = 2,
+        n_shards: int = 1,
         shard_backend: str = "inline",
         host: str = "127.0.0.1",
         port: int = 0,
@@ -213,9 +217,9 @@ class ShardedPowerServer:
         self._tick_task = asyncio.ensure_future(self._tick_loop())
 
     async def stop(self) -> None:
-        # Swap shared handles into locals *before* awaiting (the same
-        # discipline as PowerServer.stop): a second stop interleaving
-        # at the await must see the attribute already cleared.
+        # Swap shared handles into locals *before* awaiting: a second
+        # stop() (or a restart) interleaving at the await must see the
+        # attribute already cleared, not clobber its update afterwards.
         tick_task, self._tick_task = self._tick_task, None
         if tick_task is not None:
             tick_task.cancel()
@@ -476,9 +480,7 @@ class ShardedPowerServer:
             )
             return
         shard_index = self.ring.owner(machine_id)
-        client = _RouterClient(
-            machine_id, platform_key, shard_index, writer
-        )
+        client = _RouterClient(machine_id, shard_index, writer)
         # Reserve the slot before the shard round-trip: a second hello
         # for the same machine interleaving at the await must already
         # see the ID taken.
@@ -513,8 +515,9 @@ class ShardedPowerServer:
             try:
                 line = await reader.readline()
             except ValueError:
-                # Oversized mid-stream line: same accounting as the
-                # hello path and the single-process server.
+                # Oversized mid-stream line: account identically to the
+                # hello path — protocol error counted, ERROR sent, then
+                # the connection is closed (not a silent abrupt close).
                 self.stats.n_protocol_errors += 1
                 await self._send(
                     client,
@@ -547,7 +550,6 @@ class ShardedPowerServer:
                         },
                     )
                 elif kind == protocol.BYE:
-                    client.bye_pending = True
                     self._pending_drains[client.shard_index].append(
                         client.machine_id
                     )
@@ -577,7 +579,7 @@ class ShardedPowerServer:
     async def telemetry_async(
         self, extra_session_rows: Iterable[dict] = ()
     ) -> dict:
-        """The merged fleet snapshot, same shape as one server's.
+        """The merged fleet snapshot, same shape as one shard's.
 
         The router's own snapshot contributes the transport counters
         (protocol errors, stalled closes); each shard contributes its

@@ -12,8 +12,8 @@ Workers run behind one of two hosts with a uniform blocking
 ``call(command, payload)`` interface:
 
 * :class:`InlineShardHost` — the worker lives in the router's process.
-  Deterministic and cheap; what tests, ``repro replay --shards`` and
-  the scaling benchmark use.
+  Deterministic and cheap; what a one-shard ``repro serve``, every
+  ``repro replay``, the tests and the scaling benchmark use.
 * :class:`ProcessShardHost` — the worker runs in its own spawned
   process behind a pipe, one command in flight at a time (the router
   serializes calls per shard).  Spawned, not forked, so the worker

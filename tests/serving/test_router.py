@@ -1,9 +1,9 @@
 """Router tier end to end: real TCP, consistent hashing, the barrier.
 
 Mirrors ``test_server.py``'s structure — raw protocol lines over
-localhost streams — but against :class:`ShardedPowerServer`, plus the
-gates the sharded tier adds: shards=1 byte-identity with the golden
-replay path, reconnects across ring boundaries, and the exactly-once
+localhost streams — but with more than one shard, plus the gates that
+sharding adds: the golden replay's predictions do not depend on the
+shard count, reconnects across ring boundaries, and the exactly-once
 hot-swap barrier under a racing publish.
 """
 
@@ -183,30 +183,32 @@ def test_fleet_scores_bit_identical_across_shards(
     assert all(b > 0 for b in telemetry["router"]["busy_seconds"])
 
 
-def test_shards_1_replay_is_byte_identical_to_single_process(
+def test_shards_1_and_2_replays_deliver_identical_predictions(
     golden_fixture,
 ):
-    """The acceptance gate: the golden fixture replayed through the
-    sharded tier at shards=1 delivers byte-identical prediction
-    messages to the plain single-process server."""
+    """The acceptance gate: the golden fixture replayed at shards=1
+    and at shards=2 delivers byte-identical prediction messages to
+    every machine and scores the same number of samples.
+
+    The end-of-replay ``telemetry["cluster"]`` is deliberately not
+    compared: it is the last tick's Eq. 5 sum over the sessions still
+    open, so it depends on which tick each machine's ``bye`` drains in,
+    and that follows the wall clock, not the shard count."""
     bundle, machines = golden_fixture
     static = {bundle.platform_key: ("golden@v1", bundle)}
-    plain = replay(machines, static_bundles=static, speed=50.0)
-    sharded = replay(
-        machines, static_bundles=static, speed=50.0, shards=1
-    )
-    assert sharded.total_dropped == 0
-    for machine_id, machine_result in plain.machines.items():
+    one = replay(machines, static_bundles=static, speed=50.0, shards=1)
+    two = replay(machines, static_bundles=static, speed=50.0, shards=2)
+    assert one.total_dropped == 0 and two.total_dropped == 0
+    assert one.telemetry["router"]["shards"] == 1
+    assert two.telemetry["router"]["shards"] == 2
+    assert set(one.machines) == set(two.machines)
+    for machine_id, machine_result in one.machines.items():
         assert json.dumps(
-            sharded.machines[machine_id].predictions, sort_keys=True
+            two.machines[machine_id].predictions, sort_keys=True
         ) == json.dumps(machine_result.predictions, sort_keys=True)
     assert (
-        sharded.telemetry["samples_scored"]
-        == plain.telemetry["samples_scored"]
-    )
-    assert (
-        sharded.telemetry["cluster"]["total_power_w"]
-        == plain.telemetry["cluster"]["total_power_w"]
+        two.telemetry["samples_scored"]
+        == one.telemetry["samples_scored"]
     )
 
 

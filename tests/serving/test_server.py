@@ -1,8 +1,11 @@
 """End-to-end server tests over real localhost TCP.
 
-The tick loop runs fast (10 ms) so these stay well under a second each;
-tests drive raw protocol lines through asyncio streams, exactly like a
-production agent would.
+The server is :class:`ShardedPowerServer` with one inline shard — what
+``repro serve`` and ``repro replay`` run by default.  The tick loop
+runs fast (10 ms) so these stay well under a second each; tests drive
+raw protocol lines through asyncio streams, exactly like a production
+agent would.  Session counts come from the merged telemetry snapshot,
+since the sessions themselves live in the shard.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.serving import ModelRegistry, PowerServer, SessionConfig
+from repro.serving import ModelRegistry, SessionConfig, ShardedPowerServer
 from repro.serving import protocol
 
 TICK_S = 0.01
@@ -41,10 +44,12 @@ async def _recv(reader):
 
 
 def _static_server(scenario, code="Q", **kwargs):
-    return PowerServer(
+    return ShardedPowerServer(
         static_bundles={
             scenario.platform_key: (f"{code}@v1", scenario.bundle(code))
         },
+        n_shards=1,
+        shard_backend="inline",
         tick_interval_s=TICK_S,
         **kwargs,
     )
@@ -222,8 +227,10 @@ def test_registry_publish_hot_swaps_live_sessions(
     v1, _ = registry.publish(scenario.bundle("Q"))
 
     async def scenario_run():
-        server = PowerServer(
+        server = ShardedPowerServer(
             registry=registry,
+            n_shards=1,
+            shard_backend="inline",
             tick_interval_s=TICK_S,
             session_config=SessionConfig(queue_limit=256, gap_tolerance=8),
         )
@@ -304,7 +311,8 @@ def test_abrupt_disconnect_closes_the_session(scenario, holdout_log):
             await _recv(reader)
             writer.close()  # no bye
             await asyncio.sleep(TICK_S * 5)
-            return server.stats.n_sessions_closed, len(server.sessions)
+            telemetry = await server.telemetry_async()
+            return telemetry["sessions_closed"], len(telemetry["sessions"])
         finally:
             await server.stop()
 
@@ -337,11 +345,12 @@ def test_oversized_line_mid_stream_counts_a_protocol_error(scenario):
             error = await _recv(reader)
             tail = await reader.read()  # server closes the connection
             await asyncio.sleep(TICK_S * 2)
+            telemetry = await server.telemetry_async()
             return (
                 error,
                 tail,
                 server.stats.n_protocol_errors,
-                len(server.sessions),
+                len(telemetry["sessions"]),
             )
         finally:
             await server.stop()

@@ -165,6 +165,9 @@ class TestServingCommands:
         stats = json.loads(stats_path.read_text())
         assert stats["dropped_samples"] == 0
         assert stats["samples_scored"] > 0
+        # No --shards: the replay runs through the one server with its
+        # default single shard.
+        assert stats["router"]["shards"] == 1
 
     def test_serve_refuses_an_empty_registry(self, tmp_path):
         code, text = _run([
